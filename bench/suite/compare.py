@@ -71,9 +71,9 @@ def verdict(parent, change, better, bound, extra_failures):
     p_med, c_med = statistics.median(parent), statistics.median(change)
     p_q1, p_q3 = quartiles(parent)
     c_q1, c_q3 = quartiles(change)
-    spread = max((p_q3 - p_q1) / abs(p_med) if p_med else 0,
-                 (c_q3 - c_q1) / abs(c_med) if c_med else 0)
-    worse = -sign * (c_med - p_med) / abs(p_med) if p_med else 0
+    # End-to-end metrics are never 0 (BENCHMARK.json's contract).
+    spread = max((p_q3 - p_q1) / p_med, (c_q3 - c_q1) / c_med)
+    worse = -sign * (c_med - p_med) / p_med
     detail = {"pairs": len(pairs), "wins": wins, "parent_median": p_med,
               "parent_q": (p_q1, p_q3), "change_median": c_med,
               "change_q": (c_q1, c_q3), "spread": spread, "worse": worse}
