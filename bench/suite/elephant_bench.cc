@@ -17,7 +17,8 @@
 // 22 TPC-H queries, or the three OLTP systems. Streams repeat until
 // --seconds have passed (and at least the preset's minimum has run).
 // With --trace, streams alternate between traced and untraced, so the
-// trace's cost can be read off the two sets of streams.
+// trace's cost can be read off the two sets of streams. All times are
+// raw wall-clock times of this host.
 
 #include <algorithm>
 #include <cmath>
@@ -28,7 +29,6 @@
 #include <iterator>
 #include <map>
 #include <memory>
-#include <queue>
 #include <string>
 #include <variant>
 #include <vector>
@@ -68,8 +68,13 @@ namespace {
 struct Preset {
   double sf;
   size_t budget_bytes;  ///< tpch_budget's exec memory budget
-  int dbgen_repeats;    ///< set-up repeats whose median is setup_s
-  int min_streams;
+  /// Set-up repeats whose median is setup_s: dbgen runs on TPC-H,
+  /// empty-window steps on ycsb_write_overload.
+  int setup_repeats;
+  /// Minimum timed streams. Five TPC-H streams are 110 query runs, so
+  /// their 90th percentile has at least ten runs beyond it.
+  int min_query_streams;
+  int min_system_streams;
   int64_t read_records;
   SimTime read_warmup;
   SimTime read_measure;
@@ -82,8 +87,9 @@ struct Preset {
 
 constexpr Preset kFull = {.sf = 0.1,
                           .budget_bytes = 16u << 20,
-                          .dbgen_repeats = 5,
-                          .min_streams = 3,
+                          .setup_repeats = 3,
+                          .min_query_streams = 5,
+                          .min_system_streams = 3,
                           .read_records = 1600000,
                           .read_warmup = 2 * kSecond,
                           .read_measure = 8 * kSecond,
@@ -94,8 +100,9 @@ constexpr Preset kFull = {.sf = 0.1,
                           .overload_rate = 64000};
 constexpr Preset kTiny = {.sf = 0.01,
                           .budget_bytes = 2u << 20,
-                          .dbgen_repeats = 2,
-                          .min_streams = 2,
+                          .setup_repeats = 2,
+                          .min_query_streams = 2,
+                          .min_system_streams = 2,
                           .read_records = 40000,
                           .read_warmup = 1 * kSecond,
                           .read_measure = 1 * kSecond,
@@ -129,12 +136,12 @@ struct UnitRun {
 struct StreamRun {
   bool traced = false;
   double wall_s = 0;  ///< time inside calls into the program
+  double ops = 0;     ///< queries run, or simulated operations
   std::vector<UnitRun> units;
   Layers layers;
 };
 
 struct Report {
-  std::vector<double> calibration_s;
   std::vector<double> setup_s;
   std::vector<StreamRun> cold;  ///< untimed warm-up stream (tpch only)
   std::vector<StreamRun> streams;
@@ -191,10 +198,11 @@ std::string StreamJson(const StreamRun& s) {
                        JsonString(u.status).c_str(),
                        LayersJson(u.layers).c_str());
   }
-  return StrFormat("{\"traced\": %s, \"wall_s\": %s, \"layers\": %s, "
-                   "\"units\": [%s]}",
+  return StrFormat("{\"traced\": %s, \"wall_s\": %s, \"ops\": %s, "
+                   "\"layers\": %s, \"units\": [%s]}",
                    s.traced ? "true" : "false", JsonNumber(s.wall_s).c_str(),
-                   LayersJson(s.layers).c_str(), units.c_str());
+                   JsonNumber(s.ops).c_str(), LayersJson(s.layers).c_str(),
+                   units.c_str());
 }
 
 std::string StreamsJson(const std::vector<StreamRun>& streams) {
@@ -206,54 +214,22 @@ std::string StreamsJson(const std::vector<StreamRun>& streams) {
   return "[" + out + "]";
 }
 
-volatile uint64_t g_calibration_sink = 0;
-
-/// Times a fixed piece of work that uses no code of the program:
-/// ordered-map inserts and lookups, heap pushes and pops, random reads
-/// over 8 MB and a sort (~70 ms on a quiet host). The shared hosts this
-/// benchmark runs on drift in speed by up to 15% over minutes; run.py
-/// scales the end-to-end times by the run's median sample (README.md,
-/// "Host speed"). The 8 MB table is allocated once, so the samples add a
-/// fixed amount to peak RSS.
-void SampleHostSpeed(TraceRecorder* trace, Report* rep) {
-  static std::vector<uint64_t> table(1 << 20);
-  static std::vector<uint64_t> sorted(1 << 17);
-  Span span(trace, "bench.calibration");
-  uint64_t x = 0x9E3779B97F4A7C15ULL;
-  auto next = [&x] {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return x;
-  };
-  uint64_t sink = 0;
-  std::map<uint64_t, uint64_t> tree;
-  for (int i = 0; i < 60000; ++i) tree[next() % 1000000] = i;
-  for (int i = 0; i < 120000; ++i) {
-    auto it = tree.find(next() % 1000000);
-    if (it != tree.end()) sink += it->second;
-  }
-  std::priority_queue<uint64_t> heap;
-  for (int i = 0; i < 100000; ++i) heap.push(next());
-  for (; !heap.empty(); heap.pop()) sink += heap.top();
-  for (uint64_t& w : table) w = next();
-  for (int i = 0; i < 1000000; ++i) sink += table[next() % table.size()];
-  std::copy(table.begin(), table.begin() + sorted.size(), sorted.begin());
-  std::sort(sorted.begin(), sorted.end());
-  g_calibration_sink = sink + sorted[sorted.size() / 2];
-  rep->calibration_s.push_back(span.End());
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n == 0 ? 0 : n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
 /// Runs streams until `seconds` have passed and at least `min_streams`
 /// ran. With tracing on, even-numbered streams are traced and odd ones
 /// record only their own span, named untraced_stream.
 template <typename RunStream>
-void RunStreams(const Options& opt, TraceRecorder* trace, Report* rep,
-                RunStream run_stream) {
+void RunStreams(const Options& opt, int min_streams, TraceRecorder* trace,
+                Report* rep, RunStream run_stream) {
   const bool tracing = trace->enabled();
   const int64_t start = Span::NowNs();
   for (int k = 0;
-       k < opt.preset->min_streams ||
+       k < min_streams ||
        static_cast<double>(Span::NowNs() - start) / 1e9 < opt.seconds;
        ++k) {
     StreamRun s;
@@ -348,7 +324,7 @@ void RunTpch(const Options& opt, bool budget, TraceRecorder* trace,
   dopt.threads = opt.threads;
 
   tpch::TpchDatabase db;
-  for (int i = 0; i < p.dbgen_repeats; ++i) {
+  for (int i = 0; i < p.setup_repeats; ++i) {
     // Free the last copy, and hand its pages back, before timing the
     // next: repeats must not stack up in the peak RSS.
     db = tpch::TpchDatabase();
@@ -390,12 +366,12 @@ void RunTpch(const Options& opt, bool budget, TraceRecorder* trace,
       checksum.End();
       u.layers[u.name + ".ms"] = u.seconds * 1e3;
       out->wall_s += u.seconds;
+      out->ops += 1;
       out->units.push_back(std::move(u));
     }
     out->wall_s += release_s;
     out->layers = ExecCounters(cache0);
     out->layers["release.ms"] = release_s * 1e3;
-    SampleHostSpeed(trace, rep);
   };
 
   // The first stream builds zone maps and warms caches; it is checked
@@ -406,7 +382,7 @@ void RunTpch(const Options& opt, bool budget, TraceRecorder* trace,
     run_stream(&rep->cold.back());
   }
   rep->layers["cold_stream.s"] = rep->cold.back().wall_s;
-  RunStreams(opt, trace, rep, run_stream);
+  RunStreams(opt, p.min_query_streams, trace, rep, run_stream);
 }
 
 // ---- YCSB ----------------------------------------------------------------
@@ -461,38 +437,6 @@ EngineCounters ReadEngines(ycsb::DataServingSystem* system) {
   return c;
 }
 
-/// Builds and loads one system (the unit's set-up), hands it to
-/// `measure`, then tears it down; set-up and teardown times land in the
-/// unit's layers.
-template <typename Measure>
-UnitRun WithPreparedSystem(ycsb::SystemKind kind, int unit,
-                           const ycsb::WorkloadSpec& workload,
-                           const ycsb::DriverOptions& options,
-                           TraceRecorder* trace, Measure measure) {
-  UnitRun u;
-  u.name = SystemLabel(kind);
-  Span make(trace, "ycsb.make_system", unit);
-  ycsb::SystemUnderTest sut = ycsb::MakeSystem(kind, options);
-  double setup_s = make.End();
-  auto driver = std::make_unique<ycsb::YcsbDriver>(
-      sut.testbed.get(), sut.system.get(), workload, options);
-  Span prepare(trace, "ycsb.prepare", unit);
-  Status st = driver->Prepare();
-  setup_s += prepare.End();
-  if (st.ok()) {
-    measure(driver.get(), sut.system.get(), &u);
-  } else {
-    u.status = st.ToString();
-  }
-  Span teardown(trace, "ycsb.teardown", unit);
-  driver.reset();
-  sut.system.reset();  // the system holds pointers into the testbed
-  sut.testbed.reset();
-  u.layers[u.name + ".teardown_s"] = teardown.End();
-  u.layers[u.name + ".prepare_s"] = setup_s;
-  return u;
-}
-
 void RunYcsbRead(const Options& opt, TraceRecorder* trace, Report* rep) {
   const Preset& p = *opt.preset;
   ycsb::DriverOptions d;
@@ -503,50 +447,60 @@ void RunYcsbRead(const Options& opt, TraceRecorder* trace, Report* rep) {
   d.target_throughput = p.read_target;
   const ycsb::WorkloadSpec workload = ycsb::WorkloadSpec::C();
 
-  RunStreams(opt, trace, rep, [&](StreamRun* out) {
+  RunStreams(opt, p.min_system_streams, trace, rep, [&](StreamRun* out) {
     double setup_s = 0;
-    double ops = 0;
     for (int i = 0; i < static_cast<int>(std::size(kSystems)); ++i) {
       Span system(trace, "system", i);
-      UnitRun u = WithPreparedSystem(
-          kSystems[i], i, workload, d, trace,
-          [&](ycsb::YcsbDriver* driver, ycsb::DataServingSystem* system,
-              UnitRun* unit) {
-            EngineCounters c0 = ReadEngines(system);
-            Span run(trace, "ycsb.run", i);
-            ycsb::RunResult r = driver->Run();
-            unit->seconds = run.End();
-            EngineCounters c1 = ReadEngines(system);
-            unit->digest = Hex(r.Fingerprint());
-            const std::string& n = unit->name;
-            const double events = static_cast<double>(r.sim_events);
-            const double measured = static_cast<double>(r.ops_measured);
-            ops += measured;
-            unit->layers[n + ".run_s"] = unit->seconds;
-            unit->layers[n + ".sim_events"] = events;
-            unit->layers[n + ".events_per_s"] = events / unit->seconds;
-            unit->layers[n + ".events_per_op"] =
-                measured > 0 ? events / measured : 0;
-            if (kSystems[i] == ycsb::SystemKind::kSqlCs) {
-              int64_t hits = c1.pool_hits - c0.pool_hits;
-              int64_t touches = hits + c1.pool_misses - c0.pool_misses;
-              unit->layers[n + ".pool_hit_ratio"] =
-                  touches > 0 ? static_cast<double>(hits) / touches : 0;
-              unit->layers[n + ".disk_reads"] =
-                  static_cast<double>(c1.disk_reads - c0.disk_reads);
-            } else {
-              unit->layers[n + ".faults"] =
-                  static_cast<double>(c1.faults - c0.faults);
-            }
-          });
-      setup_s += u.layers[u.name + ".prepare_s"];
+      UnitRun u;
+      u.name = SystemLabel(kSystems[i]);
+      const std::string& n = u.name;
+      Span make(trace, "ycsb.make_system", i);
+      ycsb::SystemUnderTest sut = ycsb::MakeSystem(kSystems[i], d);
+      double prepare_s = make.End();
+      auto driver = std::make_unique<ycsb::YcsbDriver>(
+          sut.testbed.get(), sut.system.get(), workload, d);
+      Span prepare(trace, "ycsb.prepare", i);
+      Status st = driver->Prepare();
+      prepare_s += prepare.End();
+      if (st.ok()) {
+        EngineCounters c0 = ReadEngines(sut.system.get());
+        Span run(trace, "ycsb.run", i);
+        ycsb::RunResult r = driver->Run();
+        u.seconds = run.End();
+        EngineCounters c1 = ReadEngines(sut.system.get());
+        u.digest = Hex(r.Fingerprint());
+        const double events = static_cast<double>(r.sim_events);
+        const double measured = static_cast<double>(r.ops_measured);
+        out->ops += measured;
+        u.layers[n + ".run_s"] = u.seconds;
+        u.layers[n + ".sim_events"] = events;
+        u.layers[n + ".events_per_s"] = events / u.seconds;
+        u.layers[n + ".events_per_op"] = measured > 0 ? events / measured : 0;
+        if (kSystems[i] == ycsb::SystemKind::kSqlCs) {
+          int64_t hits = c1.pool_hits - c0.pool_hits;
+          int64_t touches = hits + c1.pool_misses - c0.pool_misses;
+          u.layers[n + ".pool_hit_ratio"] =
+              touches > 0 ? static_cast<double>(hits) / touches : 0;
+          u.layers[n + ".disk_reads"] =
+              static_cast<double>(c1.disk_reads - c0.disk_reads);
+        } else {
+          u.layers[n + ".faults"] = static_cast<double>(c1.faults - c0.faults);
+        }
+      } else {
+        u.status = st.ToString();
+      }
+      Span teardown(trace, "ycsb.teardown", i);
+      driver.reset();
+      sut.system.reset();  // the system holds pointers into the testbed
+      sut.testbed.reset();
+      u.layers[n + ".teardown_s"] = teardown.End();
+      u.layers[n + ".prepare_s"] = prepare_s;
+      setup_s += prepare_s;
       out->wall_s += u.seconds;
       out->units.push_back(std::move(u));
       system.End();
-      SampleHostSpeed(trace, rep);
     }
     rep->setup_s.push_back(setup_s);
-    out->layers["sim_ops_per_s"] = out->wall_s > 0 ? ops / out->wall_s : 0;
   });
 }
 
@@ -559,45 +513,56 @@ void RunYcsbOverload(const Options& opt, TraceRecorder* trace, Report* rep) {
   so.driver.warmup = p.overload_warmup;
   so.driver.measure = p.overload_measure;
 
-  RunStreams(opt, trace, rep, [&](StreamRun* out) {
+  // RunSweepStep builds, loads and warms its own testbed inside the
+  // timed call and cannot report that part apart. The same call with an
+  // empty window (one tick, too short for any arrival) is that set-up,
+  // a 1 s idle drain and the teardown; its time is this workload's
+  // setup_s. These steps also warm the process before the timed streams.
+  ycsb::SweepOptions empty = so;
+  empty.driver.warmup = 0;
+  empty.driver.measure = 1;
+  std::map<std::string, std::vector<double>> setup_steps;
+  for (int k = 0; k < p.setup_repeats; ++k) {
     double setup_s = 0;
-    double arrivals = 0;
+    for (int i = 0; i < static_cast<int>(std::size(kSystems)); ++i) {
+      Span step(trace, "ycsb.setup_step", i);
+      ycsb::RunSweepStep(kSystems[i], p.overload_rate, empty);
+      const double s = step.End();
+      setup_steps[SystemLabel(kSystems[i])].push_back(s);
+      setup_s += s;
+    }
+    rep->setup_s.push_back(setup_s);
+  }
+  for (const auto& [name, times] : setup_steps) {
+    rep->layers[name + ".prepare_s"] = Median(times);
+  }
+
+  RunStreams(opt, p.min_system_streams, trace, rep, [&](StreamRun* out) {
     for (int i = 0; i < static_cast<int>(std::size(kSystems)); ++i) {
       Span system(trace, "system", i);
-      // RunSweepStep builds, loads and warms its own testbed. The same
-      // set-up is timed on its own first, since the step cannot report
-      // it; the step's time includes its set-up.
-      UnitRun u = WithPreparedSystem(
-          kSystems[i], i, so.workload, so.driver, trace,
-          [](ycsb::YcsbDriver*, ycsb::DataServingSystem*, UnitRun*) {});
-      if (u.status == "ok") {
-        Span step(trace, "ycsb.sweep_step", i);
-        ycsb::SweepStepResult r =
-            ycsb::RunSweepStep(kSystems[i], p.overload_rate, so);
-        u.seconds = step.End();
-        u.digest = Hex(r.Fingerprint());
-        const std::string& n = u.name;
-        const double events = static_cast<double>(r.sim_events);
-        const double arrived = static_cast<double>(r.arrivals);
-        arrivals += arrived;
-        u.layers[n + ".run_s"] = u.seconds;
-        u.layers[n + ".sim_events"] = events;
-        u.layers[n + ".events_per_s"] = events / u.seconds;
-        u.layers[n + ".events_per_op"] = arrived > 0 ? events / arrived : 0;
-        u.layers[n + ".shed_frac"] =
-            arrived > 0 ? static_cast<double>(r.shed) / arrived : 0;
-        u.layers[n + ".lock_waiters"] = r.util.lock_wait;
-        u.layers[n + ".gate_wait_ms"] = r.queue_wait_ms;
-      }
-      setup_s += u.layers[u.name + ".prepare_s"];
+      UnitRun u;
+      u.name = SystemLabel(kSystems[i]);
+      const std::string& n = u.name;
+      Span step(trace, "ycsb.sweep_step", i);
+      ycsb::SweepStepResult r =
+          ycsb::RunSweepStep(kSystems[i], p.overload_rate, so);
+      u.seconds = step.End();
+      u.digest = Hex(r.Fingerprint());
+      const double events = static_cast<double>(r.sim_events);
+      const double arrived = static_cast<double>(r.arrivals);
+      out->ops += arrived;
+      u.layers[n + ".run_s"] = u.seconds;
+      u.layers[n + ".sim_events"] = events;
+      u.layers[n + ".events_per_s"] = events / u.seconds;
+      u.layers[n + ".events_per_op"] = arrived > 0 ? events / arrived : 0;
+      u.layers[n + ".shed_frac"] =
+          arrived > 0 ? static_cast<double>(r.shed) / arrived : 0;
+      u.layers[n + ".lock_waiters"] = r.util.lock_wait;
+      u.layers[n + ".gate_wait_ms"] = r.queue_wait_ms;
       out->wall_s += u.seconds;
       out->units.push_back(std::move(u));
       system.End();
-      SampleHostSpeed(trace, rep);
     }
-    rep->setup_s.push_back(setup_s);
-    out->layers["sim_ops_per_s"] =
-        out->wall_s > 0 ? arrivals / out->wall_s : 0;
   });
 }
 
@@ -653,7 +618,6 @@ int main(int argc, char** argv) {
   Report rep;
   {
     Span workload(&trace, "workload");
-    SampleHostSpeed(&trace, &rep);
     if (opt.workload == "ycsb_read") {
       RunYcsbRead(opt, &trace, &rep);
     } else if (opt.workload == "ycsb_write_overload") {
@@ -666,11 +630,10 @@ int main(int argc, char** argv) {
     fprintf(stderr, "cannot write trace %s\n", opt.trace_path.c_str());
     return 1;
   }
-  printf("{\"workload\": %s, \"threads\": %d,\n \"calibration_s\": %s,\n"
-         " \"setup_s\": %s,\n \"peak_rss_mb\": %s,\n \"layers\": %s,\n"
-         " \"cold\": %s,\n \"streams\": %s}\n",
+  printf("{\"workload\": %s, \"threads\": %d,\n \"setup_s\": %s,\n"
+         " \"peak_rss_mb\": %s,\n \"layers\": %s,\n \"cold\": %s,\n"
+         " \"streams\": %s}\n",
          JsonString(opt.workload).c_str(), opt.threads,
-         NumbersJson(rep.calibration_s).c_str(),
          NumbersJson(rep.setup_s).c_str(),
          JsonNumber(static_cast<double>(bench::PeakRssBytes()) / (1 << 20))
              .c_str(),

@@ -45,12 +45,6 @@ ANSWERS = os.path.join(BUILD, "answers.json")
 UNITS_PER_STREAM = {"tpch_resident": 22, "tpch_budget": 22,
                     "ycsb_read": 3, "ycsb_write_overload": 3}
 
-# Median time of the driver's host-speed kernel (SampleHostSpeed) on the
-# host the benchmark was tuned on, a quiet 4-vCPU Intel Xeon VM. Every
-# end-to-end time is scaled by this over the run's own median sample, so
-# the metrics read as times on that host (README.md, "Host speed").
-CALIBRATION_REF_S = 0.070
-
 
 def load_json(path):
     with open(path, encoding="utf-8") as f:
@@ -182,26 +176,31 @@ def remember(key, agreed):
 
 # ---- metrics -------------------------------------------------------------
 
-def host_factor(raw):
-    """Scale from this run's host speed to the reference host's."""
-    return CALIBRATION_REF_S / statistics.median(raw["calibration_s"])
+def unit_times_ms(raw):
+    """Per unit name, its passing timed runs in ms."""
+    times = collections.defaultdict(list)
+    for stream in raw["streams"]:
+        for unit in stream["units"]:
+            if unit["status"] == "ok":
+                times[unit["name"]].append(unit["s"] * 1e3)
+    return times
 
 
 def end_to_end(raw):
-    """The end-to-end metrics; times are scaled by host_factor."""
+    """The end-to-end metrics, from raw wall-clock times."""
     streams = raw["streams"]
-    times = collections.defaultdict(list)
-    for stream in streams:
-        for unit in stream["units"]:
-            if unit["status"] == "ok":
-                times[unit["name"]].append(unit["s"])
-    unit_ms = [statistics.median(v) * 1e3 for v in times.values()]
-    scale = host_factor(raw)
+    times = unit_times_ms(raw)
+    pooled = [t for v in times.values() for t in v]
     return {
-        "setup_s": scale * statistics.median(raw["setup_s"]),
-        "stream_s": scale * statistics.median(s["wall_s"] for s in streams),
-        "unit_gm_ms": scale * math.exp(statistics.fmean(math.log(m)
-                                                        for m in unit_ms)),
+        "stream_s": statistics.median(s["wall_s"] for s in streams),
+        "unit_gm_ms": math.exp(statistics.fmean(
+            math.log(statistics.median(v)) for v in times.values())),
+        "unit_p50_ms": statistics.median(pooled),
+        "unit_p90_ms": statistics.quantiles(pooled, n=10,
+                                            method="inclusive")[8],
+        "ops_per_s": statistics.median(s["ops"] / s["wall_s"]
+                                       for s in streams),
+        "setup_s": statistics.median(raw["setup_s"]),
         "peak_rss_mb": raw["peak_rss_mb"],
     }
 
@@ -218,7 +217,6 @@ def per_layer(raw, workload, names):
                 values[name].append(value)
     got = {name: statistics.median(v) for name, v in values.items()}
     got.update(raw["layers"])
-    got["host.calibration_ms"] = statistics.median(raw["calibration_s"]) * 1e3
     if workload.startswith("tpch_"):
         got["dbgen.s"] = statistics.median(raw["setup_s"])
     traced = [s["wall_s"] for s in raw["streams"] if s["traced"]]
@@ -316,15 +314,17 @@ def run_workload(binary, workload, args, spec):
         remember(key, agreed)
     print("%s: %d units checked against %s, %d failed"
           % (workload, attempted, source, failed))
-    print("%s: host-speed kernel median %.1f ms over %d samples; end-to-end "
-          "times scaled by %.4f" % (
-              workload, statistics.median(raw["calibration_s"]) * 1e3,
-              len(raw["calibration_s"]), host_factor(raw)))
     if args.trace:
         print_self_times(workload, trace_path)
         values = per_layer(raw, workload, list(units))
     else:
         values = end_to_end(raw)
+        pooled = [t for v in unit_times_ms(raw).values() for t in v]
+        print("%s: %d timed streams, %d set-ups; %d timed unit runs, %d of "
+              "them beyond unit_p90_ms" % (
+                  workload, len(raw["streams"]), len(raw["setup_s"]),
+                  len(pooled),
+                  sum(1 for t in pooled if t > values["unit_p90_ms"])))
     for name, unit in units.items():
         print("  %-28s %16.6g %s" % (name, values[name], unit))
     return {"correct": failed == 0, "attempted": attempted, "failed": failed,

@@ -31,7 +31,8 @@ BUSY_IDLE = [
     ("sql_cs.pool_hit_ratio", "ycsb_read", "tpch_budget"),
     ("mongo_as.faults", "ycsb_read", "ycsb_write_overload"),
     ("mongo_cs.shed_frac", "ycsb_write_overload", "ycsb_read"),
-    ("sim_ops_per_s", "ycsb_write_overload", "tpch_resident"),
+    ("sql_cs.sim_events", "ycsb_write_overload", "tpch_resident"),
+    ("mongo_as.prepare_s", "ycsb_write_overload", "tpch_budget"),
 ]
 
 failures = []
