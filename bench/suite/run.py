@@ -195,7 +195,6 @@ def end_to_end(raw):
         "stream_s": statistics.median(s["wall_s"] for s in streams),
         "unit_gm_ms": math.exp(statistics.fmean(
             math.log(statistics.median(v)) for v in times.values())),
-        "unit_p50_ms": statistics.median(pooled),
         "unit_p90_ms": statistics.quantiles(pooled, n=10,
                                             method="inclusive")[8],
         "ops_per_s": statistics.median(s["ops"] / s["wall_s"]
