@@ -17,8 +17,11 @@
 // 22 TPC-H queries, or the three OLTP systems. Streams repeat until
 // --seconds have passed (and at least the preset's minimum has run).
 // With --trace, streams alternate between traced and untraced, so the
-// trace's cost can be read off the two sets of streams. All times are
-// raw wall-clock times of this host.
+// trace's cost can be read off the two sets of streams.
+//
+// Every time is reported twice: as raw wall-clock time of this host, and
+// in reference seconds, scaled by the host probe samples taken just
+// before and just after the call (host_probe.h).
 
 #include <algorithm>
 #include <cmath>
@@ -48,6 +51,7 @@
 #include "exec/segcache.h"
 #include "exec/spill.h"
 #include "exec/table.h"
+#include "host_probe.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 #include "trace.h"
@@ -57,6 +61,7 @@
 #include "ycsb/workload.h"
 
 using namespace elephant;
+using bench::HostProbe;
 using bench::Span;
 using bench::TraceRecorder;
 
@@ -128,6 +133,7 @@ using Layers = std::map<std::string, double>;
 struct UnitRun {
   std::string name;
   double seconds = 0;  ///< wall time of the unit's measured call
+  double ref_s = 0;    ///< the same in reference seconds
   std::string digest;  ///< answer checksum or run fingerprint
   std::string status = "ok";
   Layers layers;
@@ -136,6 +142,7 @@ struct UnitRun {
 struct StreamRun {
   bool traced = false;
   double wall_s = 0;  ///< time inside calls into the program
+  double ref_s = 0;   ///< the same in reference seconds
   double ops = 0;     ///< queries run, or simulated operations
   std::vector<UnitRun> units;
   Layers layers;
@@ -143,6 +150,8 @@ struct StreamRun {
 
 struct Report {
   std::vector<double> setup_s;
+  std::vector<double> setup_ref_s;
+  std::vector<double> probe_s;  ///< every host probe sample
   std::vector<StreamRun> cold;  ///< untimed warm-up stream (tpch only)
   std::vector<StreamRun> streams;
   Layers layers;
@@ -190,19 +199,20 @@ std::string StreamJson(const StreamRun& s) {
   std::string units;
   for (const UnitRun& u : s.units) {
     if (!units.empty()) units += ", ";
-    units += StrFormat("{\"name\": %s, \"s\": %s, \"digest\": %s, "
-                       "\"status\": %s, \"layers\": %s}",
+    units += StrFormat("{\"name\": %s, \"s\": %s, \"ref_s\": %s, "
+                       "\"digest\": %s, \"status\": %s, \"layers\": %s}",
                        JsonString(u.name).c_str(),
                        JsonNumber(u.seconds).c_str(),
+                       JsonNumber(u.ref_s).c_str(),
                        JsonString(u.digest).c_str(),
                        JsonString(u.status).c_str(),
                        LayersJson(u.layers).c_str());
   }
-  return StrFormat("{\"traced\": %s, \"wall_s\": %s, \"ops\": %s, "
-                   "\"layers\": %s, \"units\": [%s]}",
+  return StrFormat("{\"traced\": %s, \"wall_s\": %s, \"ref_s\": %s, "
+                   "\"ops\": %s, \"layers\": %s, \"units\": [%s]}",
                    s.traced ? "true" : "false", JsonNumber(s.wall_s).c_str(),
-                   JsonNumber(s.ops).c_str(), LayersJson(s.layers).c_str(),
-                   units.c_str());
+                   JsonNumber(s.ref_s).c_str(), JsonNumber(s.ops).c_str(),
+                   LayersJson(s.layers).c_str(), units.c_str());
 }
 
 std::string StreamsJson(const std::vector<StreamRun>& streams) {
@@ -219,6 +229,54 @@ double Median(std::vector<double> v) {
   const size_t n = v.size();
   return n == 0 ? 0 : n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
+
+/// Host probe sample sizes. A sample runs on as many CPUs as the timed
+/// calls use. Queries take tens of milliseconds, so a sample between two
+/// of them is one round of about 5 ms; an OLTP call takes about a
+/// second, so a sample between two of them is four rounds, which vary
+/// less.
+struct ProbeSize {
+  int cpus;
+  int rounds;
+};
+
+/// Takes host probe samples between timed calls, each traced as
+/// bench.probe: one when constructed and one per Mark().
+class HostMarks {
+ public:
+  HostMarks(HostProbe* probe, ProbeSize size, TraceRecorder* trace,
+            Report* rep)
+      : probe_(probe), size_(size), trace_(trace), rep_(rep) {
+    last_s_ = Sample();
+  }
+
+  /// Takes a sample; returns the factor that turns wall times since the
+  /// previous sample into reference seconds.
+  double Mark() {
+    const double s = Sample();
+    const double scale = 2 * bench::kProbeRoundRefS / (last_s_ + s);
+    last_s_ = s;
+    return scale;
+  }
+
+ private:
+  double Sample() {
+    Span span(trace_, "bench.probe");
+    const double s = probe_->Sample(size_.cpus, size_.rounds);
+    if (!(s > 0)) {
+      fprintf(stderr, "the host probe stopped answering\n");
+      std::exit(1);
+    }
+    rep_->probe_s.push_back(s);
+    return s;
+  }
+
+  HostProbe* probe_;
+  ProbeSize size_;
+  TraceRecorder* trace_;
+  Report* rep_;
+  double last_s_ = 0;
+};
 
 /// Runs streams until `seconds` have passed and at least `min_streams`
 /// ran. With tracing on, even-numbered streams are traced and odd ones
@@ -314,14 +372,15 @@ Layers ExecCounters(const exec::SegmentCache::Stats& cache0) {
   };
 }
 
-void RunTpch(const Options& opt, bool budget, TraceRecorder* trace,
-             Report* rep) {
+void RunTpch(const Options& opt, bool budget, HostProbe* probe,
+             TraceRecorder* trace, Report* rep) {
   const Preset& p = *opt.preset;
   exec::SetExecThreads(opt.threads);
   exec::SetExecMemoryBudget(budget ? p.budget_bytes : 0);
   tpch::DbgenOptions dopt;
   if (opt.seed_given) dopt.seed = opt.seed;
   dopt.threads = opt.threads;
+  const ProbeSize probe_size = {opt.threads, 1};
 
   tpch::TpchDatabase db;
   for (int i = 0; i < p.setup_repeats; ++i) {
@@ -331,9 +390,12 @@ void RunTpch(const Options& opt, bool budget, TraceRecorder* trace,
 #ifdef __GLIBC__
     malloc_trim(0);
 #endif
+    HostMarks host(probe, probe_size, trace, rep);
     Span gen(trace, "tpch.dbgen");
     db = tpch::GenerateDatabase(p.sf, dopt);
-    rep->setup_s.push_back(gen.End());
+    const double gen_s = gen.End();
+    rep->setup_s.push_back(gen_s);
+    rep->setup_ref_s.push_back(gen_s * host.Mark());
   }
   size_t encoded = 0;
   for (exec::Table* t : BigTables(&db)) {
@@ -347,6 +409,7 @@ void RunTpch(const Options& opt, bool budget, TraceRecorder* trace,
     exec::ResetSpillCounters();
     const exec::SegmentCache::Stats cache0 =
         exec::SegmentCache::Global().GetStats();
+    HostMarks host(probe, probe_size, trace, rep);
     double release_s = 0;
     for (int q = 1; q <= tpch::kNumQueries; ++q) {
       UnitRun u;
@@ -354,18 +417,23 @@ void RunTpch(const Options& opt, bool budget, TraceRecorder* trace,
       Span query(trace, "tpch.query", q);
       exec::Table answer = tpch::RunQuery(q, db);
       u.seconds = query.End();
+      const double scale = host.Mark();
+      u.ref_s = u.seconds * scale;
       if (budget) {
         // Drop thawed columns so each query starts from encoded data,
         // as a budget-bound run must.
         Span release(trace, "exec.release", q);
         for (exec::Table* t : BigTables(&db)) t->ReleaseResident();
-        release_s += release.End();
+        const double s = release.End();
+        release_s += s;
+        out->ref_s += s * scale;
       }
       Span checksum(trace, "bench.checksum", q);
       u.digest = Hex(CanonicalChecksum(answer));
       checksum.End();
       u.layers[u.name + ".ms"] = u.seconds * 1e3;
       out->wall_s += u.seconds;
+      out->ref_s += u.ref_s;
       out->ops += 1;
       out->units.push_back(std::move(u));
     }
@@ -386,6 +454,9 @@ void RunTpch(const Options& opt, bool budget, TraceRecorder* trace,
 }
 
 // ---- YCSB ----------------------------------------------------------------
+
+/// The OLTP workloads are single-threaded simulations.
+constexpr ProbeSize kOltpProbe = {1, 4};
 
 constexpr ycsb::SystemKind kSystems[] = {ycsb::SystemKind::kSqlCs,
                                          ycsb::SystemKind::kMongoCs,
@@ -437,7 +508,8 @@ EngineCounters ReadEngines(ycsb::DataServingSystem* system) {
   return c;
 }
 
-void RunYcsbRead(const Options& opt, TraceRecorder* trace, Report* rep) {
+void RunYcsbRead(const Options& opt, HostProbe* probe, TraceRecorder* trace,
+                 Report* rep) {
   const Preset& p = *opt.preset;
   ycsb::DriverOptions d;
   if (opt.seed_given) d.seed = opt.seed;
@@ -448,7 +520,9 @@ void RunYcsbRead(const Options& opt, TraceRecorder* trace, Report* rep) {
   const ycsb::WorkloadSpec workload = ycsb::WorkloadSpec::C();
 
   RunStreams(opt, p.min_system_streams, trace, rep, [&](StreamRun* out) {
+    HostMarks host(probe, kOltpProbe, trace, rep);
     double setup_s = 0;
+    double setup_ref_s = 0;
     for (int i = 0; i < static_cast<int>(std::size(kSystems)); ++i) {
       Span system(trace, "system", i);
       UnitRun u;
@@ -462,11 +536,14 @@ void RunYcsbRead(const Options& opt, TraceRecorder* trace, Report* rep) {
       Span prepare(trace, "ycsb.prepare", i);
       Status st = driver->Prepare();
       prepare_s += prepare.End();
+      setup_s += prepare_s;
+      setup_ref_s += prepare_s * host.Mark();
       if (st.ok()) {
         EngineCounters c0 = ReadEngines(sut.system.get());
         Span run(trace, "ycsb.run", i);
         ycsb::RunResult r = driver->Run();
         u.seconds = run.End();
+        u.ref_s = u.seconds * host.Mark();
         EngineCounters c1 = ReadEngines(sut.system.get());
         u.digest = Hex(r.Fingerprint());
         const double events = static_cast<double>(r.sim_events);
@@ -495,16 +572,18 @@ void RunYcsbRead(const Options& opt, TraceRecorder* trace, Report* rep) {
       sut.testbed.reset();
       u.layers[n + ".teardown_s"] = teardown.End();
       u.layers[n + ".prepare_s"] = prepare_s;
-      setup_s += prepare_s;
       out->wall_s += u.seconds;
+      out->ref_s += u.ref_s;
       out->units.push_back(std::move(u));
       system.End();
     }
     rep->setup_s.push_back(setup_s);
+    rep->setup_ref_s.push_back(setup_ref_s);
   });
 }
 
-void RunYcsbOverload(const Options& opt, TraceRecorder* trace, Report* rep) {
+void RunYcsbOverload(const Options& opt, HostProbe* probe,
+                     TraceRecorder* trace, Report* rep) {
   const Preset& p = *opt.preset;
   ycsb::SweepOptions so = ycsb::SweepOptions::Small();
   so.workload = ycsb::WorkloadSpec::A();
@@ -522,6 +601,7 @@ void RunYcsbOverload(const Options& opt, TraceRecorder* trace, Report* rep) {
   empty.driver.warmup = 0;
   empty.driver.measure = 1;
   std::map<std::string, std::vector<double>> setup_steps;
+  HostMarks setup_host(probe, kOltpProbe, trace, rep);
   for (int k = 0; k < p.setup_repeats; ++k) {
     double setup_s = 0;
     for (int i = 0; i < static_cast<int>(std::size(kSystems)); ++i) {
@@ -532,12 +612,14 @@ void RunYcsbOverload(const Options& opt, TraceRecorder* trace, Report* rep) {
       setup_s += s;
     }
     rep->setup_s.push_back(setup_s);
+    rep->setup_ref_s.push_back(setup_s * setup_host.Mark());
   }
   for (const auto& [name, times] : setup_steps) {
     rep->layers[name + ".prepare_s"] = Median(times);
   }
 
   RunStreams(opt, p.min_system_streams, trace, rep, [&](StreamRun* out) {
+    HostMarks host(probe, kOltpProbe, trace, rep);
     for (int i = 0; i < static_cast<int>(std::size(kSystems)); ++i) {
       Span system(trace, "system", i);
       UnitRun u;
@@ -547,6 +629,7 @@ void RunYcsbOverload(const Options& opt, TraceRecorder* trace, Report* rep) {
       ycsb::SweepStepResult r =
           ycsb::RunSweepStep(kSystems[i], p.overload_rate, so);
       u.seconds = step.End();
+      u.ref_s = u.seconds * host.Mark();
       u.digest = Hex(r.Fingerprint());
       const double events = static_cast<double>(r.sim_events);
       const double arrived = static_cast<double>(r.arrivals);
@@ -560,6 +643,7 @@ void RunYcsbOverload(const Options& opt, TraceRecorder* trace, Report* rep) {
       u.layers[n + ".lock_waiters"] = r.util.lock_wait;
       u.layers[n + ".gate_wait_ms"] = r.queue_wait_ms;
       out->wall_s += u.seconds;
+      out->ref_s += u.ref_s;
       out->units.push_back(std::move(u));
       system.End();
     }
@@ -604,6 +688,13 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Fork the probe first, while this process is single-threaded and has
+  // run no program code.
+  HostProbe probe;
+  if (!probe.Start()) {
+    fprintf(stderr, "cannot start the host probe\n");
+    return 1;
+  }
   Options opt;
   if (!ParseArgs(argc, argv, &opt)) {
     fprintf(stderr,
@@ -619,22 +710,24 @@ int main(int argc, char** argv) {
   {
     Span workload(&trace, "workload");
     if (opt.workload == "ycsb_read") {
-      RunYcsbRead(opt, &trace, &rep);
+      RunYcsbRead(opt, &probe, &trace, &rep);
     } else if (opt.workload == "ycsb_write_overload") {
-      RunYcsbOverload(opt, &trace, &rep);
+      RunYcsbOverload(opt, &probe, &trace, &rep);
     } else {
-      RunTpch(opt, opt.workload == "tpch_budget", &trace, &rep);
+      RunTpch(opt, opt.workload == "tpch_budget", &probe, &trace, &rep);
     }
   }
+  probe.Stop();
+  rep.layers["host.probe_ms"] = Median(rep.probe_s) * 1e3;
   if (!opt.trace_path.empty() && !trace.WriteChromeJson(opt.trace_path)) {
     fprintf(stderr, "cannot write trace %s\n", opt.trace_path.c_str());
     return 1;
   }
   printf("{\"workload\": %s, \"threads\": %d,\n \"setup_s\": %s,\n"
-         " \"peak_rss_mb\": %s,\n \"layers\": %s,\n \"cold\": %s,\n"
-         " \"streams\": %s}\n",
+         " \"setup_ref_s\": %s,\n \"peak_rss_mb\": %s,\n \"layers\": %s,\n"
+         " \"cold\": %s,\n \"streams\": %s}\n",
          JsonString(opt.workload).c_str(), opt.threads,
-         NumbersJson(rep.setup_s).c_str(),
+         NumbersJson(rep.setup_s).c_str(), NumbersJson(rep.setup_ref_s).c_str(),
          JsonNumber(static_cast<double>(bench::PeakRssBytes()) / (1 << 20))
              .c_str(),
          LayersJson(rep.layers).c_str(), StreamsJson(rep.cold).c_str(),

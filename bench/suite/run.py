@@ -13,9 +13,11 @@ It checks every unit's answer (a TPC-H query's checksum, an OLTP
 system's run fingerprint) and prints every metric by name with its
 unit. The last line of standard output is one JSON object with the keys
 correct, attempted, failed and metrics. With --trace 0 the metrics are
-BENCHMARK.json's end-to-end metrics; with --trace 1 they are its
-per-layer metrics, and the self time of each traced layer is printed
-as well. The exit status is 0 only when every unit passed.
+BENCHMARK.json's end-to-end metrics, with times in reference seconds
+(the driver's host probe scales them; README.md, "Host speed"); with
+--trace 1 they are its per-layer metrics, in raw wall-clock time, and
+the self time of each traced layer is printed as well. The exit status
+is 0 only when every unit passed.
 
 Without --seed the driver uses the historical seeds and the answers
 must equal expected.json. At any seed, every stream must agree, and
@@ -177,29 +179,29 @@ def remember(key, agreed):
 # ---- metrics -------------------------------------------------------------
 
 def unit_times_ms(raw):
-    """Per unit name, its passing timed runs in ms."""
+    """Per unit name, its passing timed runs in reference ms."""
     times = collections.defaultdict(list)
     for stream in raw["streams"]:
         for unit in stream["units"]:
             if unit["status"] == "ok":
-                times[unit["name"]].append(unit["s"] * 1e3)
+                times[unit["name"]].append(unit["ref_s"] * 1e3)
     return times
 
 
 def end_to_end(raw):
-    """The end-to-end metrics, from raw wall-clock times."""
+    """The end-to-end metrics, from times in reference seconds."""
     streams = raw["streams"]
     times = unit_times_ms(raw)
     pooled = [t for v in times.values() for t in v]
     return {
-        "stream_s": statistics.median(s["wall_s"] for s in streams),
+        "stream_s": statistics.median(s["ref_s"] for s in streams),
         "unit_gm_ms": math.exp(statistics.fmean(
             math.log(statistics.median(v)) for v in times.values())),
         "unit_p90_ms": statistics.quantiles(pooled, n=10,
                                             method="inclusive")[8],
-        "ops_per_s": statistics.median(s["ops"] / s["wall_s"]
+        "ops_per_s": statistics.median(s["ops"] / s["ref_s"]
                                        for s in streams),
-        "setup_s": statistics.median(raw["setup_s"]),
+        "setup_s": statistics.median(raw["setup_ref_s"]),
         "peak_rss_mb": raw["peak_rss_mb"],
     }
 
@@ -218,8 +220,8 @@ def per_layer(raw, workload, names):
     got.update(raw["layers"])
     if workload.startswith("tpch_"):
         got["dbgen.s"] = statistics.median(raw["setup_s"])
-    traced = [s["wall_s"] for s in raw["streams"] if s["traced"]]
-    untraced = [s["wall_s"] for s in raw["streams"] if not s["traced"]]
+    traced = [s["ref_s"] for s in raw["streams"] if s["traced"]]
+    untraced = [s["ref_s"] for s in raw["streams"] if not s["traced"]]
     if traced and untraced:
         got["trace.overhead_frac"] = (statistics.median(traced) /
                                       statistics.median(untraced) - 1)
