@@ -230,12 +230,13 @@ double Median(std::vector<double> v) {
   return n == 0 ? 0 : n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
-/// Host probe sample sizes. A sample runs on as many CPUs as the timed
-/// calls use. Queries take tens of milliseconds, so a sample between two
-/// of them is one round of about 5 ms; an OLTP call takes about a
-/// second, so a sample between two of them is four rounds, which vary
-/// less.
+/// What a workload's host probe samples do (host_probe.h): the kinds of
+/// work its calls do, on as many CPUs as they use. Queries take tens of
+/// milliseconds, so a sample between two of them is one round of a few
+/// ms; an OLTP call takes about a second, so a sample between two of them
+/// is four rounds, which vary less.
 struct ProbeSize {
+  uint32_t work;
   int cpus;
   int rounds;
 };
@@ -254,7 +255,8 @@ class HostMarks {
   /// previous sample into reference seconds.
   double Mark() {
     const double s = Sample();
-    const double scale = 2 * bench::kProbeRoundRefS / (last_s_ + s);
+    const double scale =
+        2 * bench::ProbeRoundRefS(size_.work) / (last_s_ + s);
     last_s_ = s;
     return scale;
   }
@@ -262,7 +264,7 @@ class HostMarks {
  private:
   double Sample() {
     Span span(trace_, "bench.probe");
-    const double s = probe_->Sample(size_.cpus, size_.rounds);
+    const double s = probe_->Sample(size_.work, size_.cpus, size_.rounds);
     if (!(s > 0)) {
       fprintf(stderr, "the host probe stopped answering\n");
       std::exit(1);
@@ -380,7 +382,9 @@ void RunTpch(const Options& opt, bool budget, HostProbe* probe,
   tpch::DbgenOptions dopt;
   if (opt.seed_given) dopt.seed = opt.seed;
   dopt.threads = opt.threads;
-  const ProbeSize probe_size = {opt.threads, 1};
+  // Column scans and hash tables on every exec thread.
+  const ProbeSize probe_size = {bench::kProbeHeap | bench::kProbeScan,
+                                opt.threads, 1};
 
   tpch::TpchDatabase db;
   for (int i = 0; i < p.setup_repeats; ++i) {
@@ -455,8 +459,6 @@ void RunTpch(const Options& opt, bool budget, HostProbe* probe,
 
 // ---- YCSB ----------------------------------------------------------------
 
-/// The OLTP workloads are single-threaded simulations.
-constexpr ProbeSize kOltpProbe = {1, 4};
 
 constexpr ycsb::SystemKind kSystems[] = {ycsb::SystemKind::kSqlCs,
                                          ycsb::SystemKind::kMongoCs,
@@ -518,9 +520,12 @@ void RunYcsbRead(const Options& opt, HostProbe* probe, TraceRecorder* trace,
   d.measure = p.read_measure;
   d.target_throughput = p.read_target;
   const ycsb::WorkloadSpec workload = ycsb::WorkloadSpec::C();
+  // One simulation thread whose B-trees and buffer pools over 1.6M
+  // records are far larger than the caches.
+  const ProbeSize probe_size = {bench::kProbeHeap | bench::kProbeChase, 1, 4};
 
   RunStreams(opt, p.min_system_streams, trace, rep, [&](StreamRun* out) {
-    HostMarks host(probe, kOltpProbe, trace, rep);
+    HostMarks host(probe, probe_size, trace, rep);
     double setup_s = 0;
     double setup_ref_s = 0;
     for (int i = 0; i < static_cast<int>(std::size(kSystems)); ++i) {
@@ -601,7 +606,10 @@ void RunYcsbOverload(const Options& opt, HostProbe* probe,
   empty.driver.warmup = 0;
   empty.driver.measure = 1;
   std::map<std::string, std::vector<double>> setup_steps;
-  HostMarks setup_host(probe, kOltpProbe, trace, rep);
+  // One simulation thread over 160K records: its event heaps and indexes
+  // mostly stay in the caches.
+  const ProbeSize probe_size = {bench::kProbeHeap, 1, 4};
+  HostMarks setup_host(probe, probe_size, trace, rep);
   for (int k = 0; k < p.setup_repeats; ++k) {
     double setup_s = 0;
     for (int i = 0; i < static_cast<int>(std::size(kSystems)); ++i) {
@@ -619,7 +627,7 @@ void RunYcsbOverload(const Options& opt, HostProbe* probe,
   }
 
   RunStreams(opt, p.min_system_streams, trace, rep, [&](StreamRun* out) {
-    HostMarks host(probe, kOltpProbe, trace, rep);
+    HostMarks host(probe, probe_size, trace, rep);
     for (int i = 0; i < static_cast<int>(std::size(kSystems)); ++i) {
       Span system(trace, "system", i);
       UnitRun u;

@@ -4,21 +4,23 @@
 // Host-speed probe for the benchmark driver (README.md, "Host speed").
 //
 // On a shared host the speed of a core drifts by a fifth or more within
-// minutes, as other tenants come and go, and the simulator's pointer-heavy
-// work drifts more than most. The driver therefore takes a probe sample
-// between every two timed calls and reports each call's time in reference
-// seconds: its wall time times kProbeRoundRefS over the mean of the two
-// samples around it.
+// minutes, as other tenants come and go. The driver therefore takes a
+// probe sample between every two timed calls and reports each call's time
+// in reference seconds: its wall time times the sample's reference time
+// (ProbeRoundRefS) over the mean of the two samples around it.
 //
 // The probe is a process of its own, forked before the driver touches any
 // program code and never calling into it, so nothing the program does to
-// its heap or its threads reaches the probe's kernel. A sample runs a
-// fixed kernel, an event heap and an ordered map driven by a fixed-seed
-// generator (the kind of work the simulator and the storage engines do),
+// its heap or its threads reaches the probe. A sample runs a fixed kernel
 // on as many CPUs as the timed calls use, starting with the one the
 // driver last ran on. The driver and its worker threads are idle while
 // they wait for the answer, so the probe and the program never compete
 // for a core.
+//
+// Other tenants slow some kinds of work more than others: an arithmetic
+// loop hardly at all, a cache-resident simulation a lot. So the kernel
+// does the kinds of work the workload's calls do (ProbeWork), and slows
+// when they slow.
 
 #include <fcntl.h>
 #include <malloc.h>
@@ -30,6 +32,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -39,11 +42,28 @@
 
 namespace elephant::bench {
 
-/// One round of the probe kernel on the host the benchmark was tuned on
-/// (an Intel Xeon VM, 4 vCPUs, g++ 12, Release), when that host was
-/// quiet. It only sets the scale of the reference seconds; the bounds are
-/// shares.
-inline constexpr double kProbeRoundRefS = 0.004;
+/// Kinds of work a probe round does; a sample names any mix of them.
+enum ProbeWork : uint32_t {
+  /// An event heap and an ordered map of a few hundred KB, driven by a
+  /// fixed-seed generator: the simulator's and the engines' own work.
+  kProbeHeap = 1,
+  /// Dependent loads along a random cycle through 64 MB: lookups in
+  /// structures larger than the caches.
+  kProbeChase = 2,
+  /// One read per cache line over 32 MB of a 64 MB array: a column scan.
+  kProbeScan = 4,
+};
+
+/// The time one kind of work takes per round on the host the benchmark
+/// was tuned on (an Intel Xeon VM, 4 vCPUs, g++ 12, Release), when that
+/// host was quiet. It only sets the scale of reference seconds; the
+/// bounds are shares.
+inline constexpr double kProbePartRefS = 0.003;
+
+/// The reference time of one round of `work`.
+inline double ProbeRoundRefS(uint32_t work) {
+  return kProbePartRefS * std::popcount(work);
+}
 
 class HostProbe {
  public:
@@ -82,12 +102,11 @@ class HostProbe {
     return true;
   }
 
-  /// Runs `rounds` rounds of the kernel on each of `cpus` CPUs at once,
-  /// the first being the one the caller last ran on. Returns the mean
-  /// time of one round in seconds, or a negative value when the probe is
-  /// gone.
-  double Sample(int cpus, int rounds) {
-    const Request request = {sched_getcpu(), cpus, rounds};
+  /// Runs `rounds` rounds of `work` on each of `cpus` CPUs at once, the
+  /// first being the one the caller last ran on. Returns the mean time of
+  /// one round in seconds, or a negative value when the probe is gone.
+  double Sample(uint32_t work, int cpus, int rounds) {
+    const Request request = {work, sched_getcpu(), cpus, rounds};
     double seconds = -1;
     if (write(request_, &request, sizeof(request)) != sizeof(request) ||
         read(reply_, &seconds, sizeof(seconds)) != sizeof(seconds)) {
@@ -107,32 +126,81 @@ class HostProbe {
 
  private:
   struct Request {
+    uint32_t work;
     int32_t cpu;  ///< the CPU the driver last ran on
     int32_t cpus;
     int32_t rounds;
   };
 
-  /// A fixed amount of work: an event heap of 8K entries popped and
-  /// refilled 25K times, then 6K inserts into and 6K lookups in an
-  /// ordered map. The generator's seed is fixed, so every round does the
-  /// same work.
+  /// One CPU's share of a sample. Every round of a kind does the same
+  /// amount of work; the chase and the scan go on where the last round
+  /// stopped, so a round reads memory the previous one did not.
   class Kernel {
    public:
-    /// Runs `rounds` rounds on `cpu`; returns seconds per round.
-    double Time(int cpu, int rounds) {
+    /// Runs `rounds` rounds of `work` on `cpu`; returns seconds per round.
+    double Time(uint32_t work, int cpu, int rounds) {
       cpu_set_t set;
       CPU_ZERO(&set);
       CPU_SET(cpu, &set);
       sched_setaffinity(0, sizeof(set), &set);
+      if ((work & ~ready_) != 0) {
+        // First use of a kind: build its data and run it once, untimed,
+        // so page faults stay out of the samples.
+        Build(work & ~ready_);
+        Round(work & ~ready_);
+        ready_ |= work;
+      }
       const auto start = std::chrono::steady_clock::now();
-      for (int i = 0; i < rounds; ++i) Round();
+      for (int i = 0; i < rounds; ++i) Round(work);
       return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            start)
                  .count() /
              rounds;
     }
 
-    void Round() {
+   private:
+    static constexpr size_t kChaseSlots = 16u << 20;  // 64 MB of uint32_t
+    static constexpr size_t kScanWords = 8u << 20;    // 64 MB of uint64_t
+    static constexpr size_t kWordsPerLine = 8;
+
+    void Build(uint32_t work) {
+      if (work & kProbeChase) {
+        // Sattolo's shuffle: one cycle through every slot.
+        cycle_.resize(kChaseSlots);
+        for (size_t i = 0; i < kChaseSlots; ++i) {
+          cycle_[i] = static_cast<uint32_t>(i);
+        }
+        uint64_t state = 0x2545F4914F6CDD1DULL;
+        for (size_t i = kChaseSlots - 1; i > 0; --i) {
+          state ^= state << 13;
+          state ^= state >> 7;
+          state ^= state << 17;
+          std::swap(cycle_[i], cycle_[state % i]);
+        }
+      }
+      if (work & kProbeScan) scan_.assign(kScanWords, 1);
+    }
+
+    void Round(uint32_t work) {
+      if (work & kProbeHeap) Heap();
+      if (work & kProbeChase) {
+        uint32_t at = chase_at_;
+        for (int i = 0; i < 20 * 1000; ++i) at = cycle_[at];
+        chase_at_ = at;
+      }
+      if (work & kProbeScan) {
+        uint64_t sum = 0;
+        for (size_t i = 0; i < kScanWords / 2; i += kWordsPerLine) {
+          sum += scan_[(scan_at_ + i) % kScanWords];
+        }
+        scan_at_ = (scan_at_ + kScanWords / 2) % kScanWords;
+        sink_ = sink_ + sum;
+      }
+    }
+
+    /// An event heap of 8K entries popped and refilled 25K times, then 6K
+    /// inserts into and 6K lookups in an ordered map.
+    void Heap() {
       uint64_t state = 0x9E3779B97F4A7C15ULL;
       auto next = [&state] {
         state ^= state << 13;
@@ -156,19 +224,23 @@ class HostProbe {
       for (int i = 0; i < 6 * 1000; ++i) {
         found += index.count(next() % 1000000);
       }
-      sink_ = found + heap_.front();
+      sink_ = sink_ + found + heap_.front();
     }
 
-   private:
+    uint32_t ready_ = 0;  ///< kinds whose data is built and warm
     std::vector<uint64_t> heap_;
-    volatile uint64_t sink_ = 0;
+    std::vector<uint32_t> cycle_;
+    uint32_t chase_at_ = 0;
+    std::vector<uint64_t> scan_;
+    size_t scan_at_ = 0;
+    volatile uint64_t sink_ = 0;  // keeps the work from being optimized out
   };
 
   /// The probe's side: one sample per request until the driver closes its
   /// end of the pipe.
   static void Serve(int requests, int replies) {
-    // Keep freed memory in the probe's heaps, so only the first round on
-    // each CPU pays for page faults; that round is untimed.
+    // Keep freed memory in the probe's heaps, so the heap work's map
+    // nodes do not fault pages in on every round.
     mallopt(M_MMAP_THRESHOLD, 64 << 20);
     mallopt(M_TRIM_THRESHOLD, 256 << 20);
     cpu_set_t allowed;
@@ -179,7 +251,6 @@ class HostProbe {
       if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
     }
     std::vector<Kernel> kernels(cpus.size());
-    for (Kernel& k : kernels) k.Round();
     Request r = {};
     while (read(requests, &r, sizeof(r)) == sizeof(r)) {
       // The driver's CPU first, then the others in order.
@@ -193,10 +264,10 @@ class HostProbe {
       std::vector<std::thread> others;
       for (size_t i = 1; i < n; ++i) {
         others.emplace_back([&, i] {
-          times[i] = kernels[i].Time(order[i], rounds);
+          times[i] = kernels[i].Time(r.work, order[i], rounds);
         });
       }
-      times[0] = kernels[0].Time(order[0], rounds);
+      times[0] = kernels[0].Time(r.work, order[0], rounds);
       for (std::thread& t : others) t.join();
       double mean = 0;
       for (double t : times) mean += t / static_cast<double>(n);
