@@ -8,8 +8,8 @@
 //
 // Every layer is measured from outside: the driver times its own calls
 // into public functions (tpch::GenerateDatabase, tpch::RunQuery,
-// ycsb::MakeSystem, YcsbDriver::Prepare/Run, ycsb::RunSweepStep) and
-// differences the exec counter snapshots around them. Without --seed the
+// ycsb::MakeSystem, YcsbDriver::Prepare/Run) and differences the exec
+// and engine counters around them. Without --seed the
 // historical seeds are used (dbgen's and the YCSB driver's defaults), so
 // the answers can be checked against expected.json.
 //
@@ -44,6 +44,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/units.h"
 #include "exec/encoded_scan.h"
 #include "exec/frozen.h"
 #include "exec/fused.h"
@@ -56,7 +57,6 @@
 #include "tpch/queries.h"
 #include "trace.h"
 #include "ycsb/driver.h"
-#include "ycsb/sweep.h"
 #include "ycsb/systems.h"
 #include "ycsb/workload.h"
 
@@ -73,21 +73,16 @@ namespace {
 struct Preset {
   double sf;
   size_t budget_bytes;  ///< tpch_budget's exec memory budget
-  /// Set-up repeats whose median is setup_s: dbgen runs on TPC-H,
-  /// empty-window steps on ycsb_write_overload.
+  /// dbgen runs before the TPC-H streams; setup_s is their median.
   int setup_repeats;
   /// Minimum timed streams. Five TPC-H streams are 110 query runs, so
   /// their 90th percentile has at least ten runs beyond it.
   int min_query_streams;
   int min_system_streams;
-  int64_t read_records;
-  SimTime read_warmup;
-  SimTime read_measure;
-  int64_t read_target;  ///< closed-loop target, ops/s across 800 clients
-  int64_t overload_records;
-  SimTime overload_warmup;
-  SimTime overload_measure;
-  int64_t overload_rate;  ///< open-loop offered rate, ops/s
+  int64_t ycsb_records;
+  SimTime ycsb_warmup;
+  SimTime ycsb_measure;
+  int64_t ycsb_target;  ///< closed-loop target, ops/s across 800 clients
 };
 
 constexpr Preset kFull = {.sf = 0.1,
@@ -95,27 +90,19 @@ constexpr Preset kFull = {.sf = 0.1,
                           .setup_repeats = 3,
                           .min_query_streams = 5,
                           .min_system_streams = 3,
-                          .read_records = 1600000,
-                          .read_warmup = 2 * kSecond,
-                          .read_measure = 8 * kSecond,
-                          .read_target = 40000,
-                          .overload_records = 160000,
-                          .overload_warmup = 1 * kSecond,
-                          .overload_measure = 8 * kSecond,
-                          .overload_rate = 64000};
+                          .ycsb_records = 1600000,
+                          .ycsb_warmup = 2 * kSecond,
+                          .ycsb_measure = 8 * kSecond,
+                          .ycsb_target = 40000};
 constexpr Preset kTiny = {.sf = 0.01,
                           .budget_bytes = 2u << 20,
                           .setup_repeats = 2,
                           .min_query_streams = 2,
                           .min_system_streams = 2,
-                          .read_records = 40000,
-                          .read_warmup = 1 * kSecond,
-                          .read_measure = 1 * kSecond,
-                          .read_target = 40000,
-                          .overload_records = 40000,
-                          .overload_warmup = 1 * kSecond,
-                          .overload_measure = 1 * kSecond,
-                          .overload_rate = 64000};
+                          .ycsb_records = 40000,
+                          .ycsb_warmup = 1 * kSecond,
+                          .ycsb_measure = 1 * kSecond,
+                          .ycsb_target = 40000};
 
 struct Options {
   std::string workload;
@@ -459,7 +446,6 @@ void RunTpch(const Options& opt, bool budget, HostProbe* probe,
 
 // ---- YCSB ----------------------------------------------------------------
 
-
 constexpr ycsb::SystemKind kSystems[] = {ycsb::SystemKind::kSqlCs,
                                          ycsb::SystemKind::kMongoCs,
                                          ycsb::SystemKind::kMongoAs};
@@ -477,49 +463,88 @@ const char* SystemLabel(ycsb::SystemKind kind) {
 }
 
 /// Engine counters read through the systems' public accessors: buffer
-/// pool touches and disk reads of the SQL-CS engines, page faults of the
-/// mongods.
+/// pool touches, disk reads and log flushes of the SQL-CS engines, page
+/// faults and global write-lock hold time of the mongods, and the time
+/// operations spent waiting for locks.
 struct EngineCounters {
+  SimTime now = 0;
   int64_t pool_hits = 0;
   int64_t pool_misses = 0;
   int64_t disk_reads = 0;
+  int64_t wal_flushes = 0;
   int64_t faults = 0;
+  SimTime write_lock_held = 0;  ///< summed over the mongods
+  int mongods = 0;
+  SimTime lock_wait = 0;
 };
 
 template <typename MongoSystem>
-int64_t MongodFaults(MongoSystem* m) {
-  int64_t faults = 0;
-  for (int i = 0; i < m->num_shards(); ++i) faults += m->mongod(i).faults();
-  return faults;
+void ReadMongods(MongoSystem* m, EngineCounters* c) {
+  c->mongods = m->num_shards();
+  for (int i = 0; i < m->num_shards(); ++i) {
+    c->faults += m->mongod(i).faults();
+    c->write_lock_held += m->mongod(i).global_lock().writer_held_time();
+  }
 }
 
-EngineCounters ReadEngines(ycsb::DataServingSystem* system) {
+EngineCounters ReadEngines(const ycsb::SystemUnderTest& sut) {
   EngineCounters c;
-  if (auto* sql = dynamic_cast<ycsb::SqlCsSystem*>(system)) {
+  c.now = sut.testbed->sim.now();
+  c.lock_wait = sut.system->TotalLockWait();
+  if (auto* sql = dynamic_cast<ycsb::SqlCsSystem*>(sut.system.get())) {
     for (int i = 0; i < sql->num_shards(); ++i) {
       sqlkv::SqlEngine& e = sql->engine(i);
       c.pool_hits += e.pool().hits();
       c.pool_misses += e.pool().misses();
       c.disk_reads += e.disk_reads();
+      c.wal_flushes += e.log().flushes();
     }
-  } else if (auto* cs = dynamic_cast<ycsb::MongoCsSystem*>(system)) {
-    c.faults = MongodFaults(cs);
-  } else if (auto* as = dynamic_cast<ycsb::MongoAsSystem*>(system)) {
-    c.faults = MongodFaults(as);
+  } else if (auto* cs = dynamic_cast<ycsb::MongoCsSystem*>(sut.system.get())) {
+    ReadMongods(cs, &c);
+  } else if (auto* as = dynamic_cast<ycsb::MongoAsSystem*>(sut.system.get())) {
+    ReadMongods(as, &c);
   }
   return c;
 }
 
-void RunYcsbRead(const Options& opt, HostProbe* probe, TraceRecorder* trace,
-                 Report* rep) {
+/// The engine layers' work over one measured run, from the counters
+/// before (`c0`) and after (`c1`) it.
+void EngineLayers(ycsb::SystemKind kind, const std::string& n,
+                  const EngineCounters& c0, const EngineCounters& c1,
+                  Layers* layers) {
+  (*layers)[n + ".lock_wait_s"] = SimTimeToSeconds(c1.lock_wait - c0.lock_wait);
+  if (kind == ycsb::SystemKind::kSqlCs) {
+    const int64_t hits = c1.pool_hits - c0.pool_hits;
+    const int64_t touches = hits + c1.pool_misses - c0.pool_misses;
+    (*layers)[n + ".pool_hit_ratio"] =
+        touches > 0 ? static_cast<double>(hits) / touches : 0;
+    (*layers)[n + ".disk_reads"] =
+        static_cast<double>(c1.disk_reads - c0.disk_reads);
+    (*layers)[n + ".wal_flushes"] =
+        static_cast<double>(c1.wal_flushes - c0.wal_flushes);
+  } else {
+    (*layers)[n + ".faults"] = static_cast<double>(c1.faults - c0.faults);
+    const double span = static_cast<double>(c1.now - c0.now) * c1.mongods;
+    (*layers)[n + ".write_lock_frac"] =
+        span > 0 ? static_cast<double>(c1.write_lock_held -
+                                       c0.write_lock_held) /
+                       span
+                 : 0;
+  }
+}
+
+/// ycsb_read and ycsb_update: a closed loop of `workload` on each system
+/// in turn, each stream building, loading and tearing down every system
+/// again.
+void RunYcsb(const Options& opt, const ycsb::WorkloadSpec& workload,
+             HostProbe* probe, TraceRecorder* trace, Report* rep) {
   const Preset& p = *opt.preset;
   ycsb::DriverOptions d;
   if (opt.seed_given) d.seed = opt.seed;
-  d.record_count = p.read_records;
-  d.warmup = p.read_warmup;
-  d.measure = p.read_measure;
-  d.target_throughput = p.read_target;
-  const ycsb::WorkloadSpec workload = ycsb::WorkloadSpec::C();
+  d.record_count = p.ycsb_records;
+  d.warmup = p.ycsb_warmup;
+  d.measure = p.ycsb_measure;
+  d.target_throughput = p.ycsb_target;
   // One simulation thread whose B-trees and buffer pools over 1.6M
   // records are far larger than the caches.
   const ProbeSize probe_size = {bench::kProbeHeap | bench::kProbeChase, 1, 4};
@@ -544,12 +569,12 @@ void RunYcsbRead(const Options& opt, HostProbe* probe, TraceRecorder* trace,
       setup_s += prepare_s;
       setup_ref_s += prepare_s * host.Mark();
       if (st.ok()) {
-        EngineCounters c0 = ReadEngines(sut.system.get());
+        const EngineCounters c0 = ReadEngines(sut);
         Span run(trace, "ycsb.run", i);
         ycsb::RunResult r = driver->Run();
         u.seconds = run.End();
         u.ref_s = u.seconds * host.Mark();
-        EngineCounters c1 = ReadEngines(sut.system.get());
+        EngineLayers(kSystems[i], n, c0, ReadEngines(sut), &u.layers);
         u.digest = Hex(r.Fingerprint());
         const double events = static_cast<double>(r.sim_events);
         const double measured = static_cast<double>(r.ops_measured);
@@ -558,16 +583,6 @@ void RunYcsbRead(const Options& opt, HostProbe* probe, TraceRecorder* trace,
         u.layers[n + ".sim_events"] = events;
         u.layers[n + ".events_per_s"] = events / u.seconds;
         u.layers[n + ".events_per_op"] = measured > 0 ? events / measured : 0;
-        if (kSystems[i] == ycsb::SystemKind::kSqlCs) {
-          int64_t hits = c1.pool_hits - c0.pool_hits;
-          int64_t touches = hits + c1.pool_misses - c0.pool_misses;
-          u.layers[n + ".pool_hit_ratio"] =
-              touches > 0 ? static_cast<double>(hits) / touches : 0;
-          u.layers[n + ".disk_reads"] =
-              static_cast<double>(c1.disk_reads - c0.disk_reads);
-        } else {
-          u.layers[n + ".faults"] = static_cast<double>(c1.faults - c0.faults);
-        }
       } else {
         u.status = st.ToString();
       }
@@ -584,77 +599,6 @@ void RunYcsbRead(const Options& opt, HostProbe* probe, TraceRecorder* trace,
     }
     rep->setup_s.push_back(setup_s);
     rep->setup_ref_s.push_back(setup_ref_s);
-  });
-}
-
-void RunYcsbOverload(const Options& opt, HostProbe* probe,
-                     TraceRecorder* trace, Report* rep) {
-  const Preset& p = *opt.preset;
-  ycsb::SweepOptions so = ycsb::SweepOptions::Small();
-  so.workload = ycsb::WorkloadSpec::A();
-  if (opt.seed_given) so.driver.seed = opt.seed;
-  so.driver.record_count = p.overload_records;
-  so.driver.warmup = p.overload_warmup;
-  so.driver.measure = p.overload_measure;
-
-  // RunSweepStep builds, loads and warms its own testbed inside the
-  // timed call and cannot report that part apart. The same call with an
-  // empty window (one tick, too short for any arrival) is that set-up,
-  // a 1 s idle drain and the teardown; its time is this workload's
-  // setup_s. These steps also warm the process before the timed streams.
-  ycsb::SweepOptions empty = so;
-  empty.driver.warmup = 0;
-  empty.driver.measure = 1;
-  std::map<std::string, std::vector<double>> setup_steps;
-  // One simulation thread over 160K records: its event heaps and indexes
-  // mostly stay in the caches.
-  const ProbeSize probe_size = {bench::kProbeHeap, 1, 4};
-  HostMarks setup_host(probe, probe_size, trace, rep);
-  for (int k = 0; k < p.setup_repeats; ++k) {
-    double setup_s = 0;
-    for (int i = 0; i < static_cast<int>(std::size(kSystems)); ++i) {
-      Span step(trace, "ycsb.setup_step", i);
-      ycsb::RunSweepStep(kSystems[i], p.overload_rate, empty);
-      const double s = step.End();
-      setup_steps[SystemLabel(kSystems[i])].push_back(s);
-      setup_s += s;
-    }
-    rep->setup_s.push_back(setup_s);
-    rep->setup_ref_s.push_back(setup_s * setup_host.Mark());
-  }
-  for (const auto& [name, times] : setup_steps) {
-    rep->layers[name + ".prepare_s"] = Median(times);
-  }
-
-  RunStreams(opt, p.min_system_streams, trace, rep, [&](StreamRun* out) {
-    HostMarks host(probe, probe_size, trace, rep);
-    for (int i = 0; i < static_cast<int>(std::size(kSystems)); ++i) {
-      Span system(trace, "system", i);
-      UnitRun u;
-      u.name = SystemLabel(kSystems[i]);
-      const std::string& n = u.name;
-      Span step(trace, "ycsb.sweep_step", i);
-      ycsb::SweepStepResult r =
-          ycsb::RunSweepStep(kSystems[i], p.overload_rate, so);
-      u.seconds = step.End();
-      u.ref_s = u.seconds * host.Mark();
-      u.digest = Hex(r.Fingerprint());
-      const double events = static_cast<double>(r.sim_events);
-      const double arrived = static_cast<double>(r.arrivals);
-      out->ops += arrived;
-      u.layers[n + ".run_s"] = u.seconds;
-      u.layers[n + ".sim_events"] = events;
-      u.layers[n + ".events_per_s"] = events / u.seconds;
-      u.layers[n + ".events_per_op"] = arrived > 0 ? events / arrived : 0;
-      u.layers[n + ".shed_frac"] =
-          arrived > 0 ? static_cast<double>(r.shed) / arrived : 0;
-      u.layers[n + ".lock_waiters"] = r.util.lock_wait;
-      u.layers[n + ".gate_wait_ms"] = r.queue_wait_ms;
-      out->wall_s += u.seconds;
-      out->ref_s += u.ref_s;
-      out->units.push_back(std::move(u));
-      system.End();
-    }
   });
 }
 
@@ -689,8 +633,7 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     }
   }
   return opt->workload == "tpch_resident" || opt->workload == "tpch_budget" ||
-         opt->workload == "ycsb_read" ||
-         opt->workload == "ycsb_write_overload";
+         opt->workload == "ycsb_read" || opt->workload == "ycsb_update";
 }
 
 }  // namespace
@@ -707,7 +650,7 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &opt)) {
     fprintf(stderr,
             "usage: %s --workload=tpch_resident|tpch_budget|ycsb_read|"
-            "ycsb_write_overload [--seed=S] [--threads=T] [--seconds=X] "
+            "ycsb_update [--seed=S] [--threads=T] [--seconds=X] "
             "[--preset=full|tiny] [--trace=PATH]\n",
             argv[0]);
     return 2;
@@ -718,9 +661,9 @@ int main(int argc, char** argv) {
   {
     Span workload(&trace, "workload");
     if (opt.workload == "ycsb_read") {
-      RunYcsbRead(opt, &probe, &trace, &rep);
-    } else if (opt.workload == "ycsb_write_overload") {
-      RunYcsbOverload(opt, &probe, &trace, &rep);
+      RunYcsb(opt, ycsb::WorkloadSpec::C(), &probe, &trace, &rep);
+    } else if (opt.workload == "ycsb_update") {
+      RunYcsb(opt, ycsb::WorkloadSpec::A(), &probe, &trace, &rep);
     } else {
       RunTpch(opt, opt.workload == "tpch_budget", &probe, &trace, &rep);
     }

@@ -45,7 +45,7 @@ ANSWERS = os.path.join(BUILD, "answers.json")
 # Units in one stream: what an aborted workload process counts as
 # attempted and failed, since it reports nothing.
 UNITS_PER_STREAM = {"tpch_resident": 22, "tpch_budget": 22,
-                    "ycsb_read": 3, "ycsb_write_overload": 3}
+                    "ycsb_read": 3, "ycsb_update": 3}
 
 
 def load_json(path):

@@ -24,15 +24,18 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 # (metric, workload where it must be nonzero, workload where it must be 0)
 BUSY_IDLE = [
     ("q21.ms", "tpch_resident", "ycsb_read"),
-    ("fused.rows_scanned", "tpch_resident", "ycsb_write_overload"),
+    ("fused.rows_scanned", "tpch_resident", "ycsb_update"),
     ("encoded.chunks_direct", "tpch_budget", "tpch_resident"),
     ("spill.join_spills", "tpch_budget", "tpch_resident"),
     ("segcache.evictions", "tpch_budget", "tpch_resident"),
     ("sql_cs.pool_hit_ratio", "ycsb_read", "tpch_budget"),
-    ("mongo_as.faults", "ycsb_read", "ycsb_write_overload"),
-    ("mongo_cs.shed_frac", "ycsb_write_overload", "ycsb_read"),
-    ("sql_cs.sim_events", "ycsb_write_overload", "tpch_resident"),
-    ("mongo_as.prepare_s", "ycsb_write_overload", "tpch_budget"),
+    ("mongo_as.faults", "ycsb_read", "tpch_resident"),
+    ("sql_cs.wal_flushes", "ycsb_update", "ycsb_read"),
+    ("sql_cs.lock_wait_s", "ycsb_update", "ycsb_read"),
+    ("mongo_cs.write_lock_frac", "ycsb_update", "ycsb_read"),
+    ("mongo_as.lock_wait_s", "ycsb_update", "ycsb_read"),
+    ("sql_cs.sim_events", "ycsb_update", "tpch_resident"),
+    ("mongo_as.prepare_s", "ycsb_update", "tpch_budget"),
 ]
 
 failures = []
