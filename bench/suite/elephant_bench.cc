@@ -9,9 +9,9 @@
 // Every layer is measured from outside: the driver times its own calls
 // into public functions (tpch::GenerateDatabase, tpch::RunQuery,
 // ycsb::MakeSystem, YcsbDriver::Prepare/Run) and differences the exec
-// and engine counters around them. Without --seed the
-// historical seeds are used (dbgen's and the YCSB driver's defaults), so
-// the answers can be checked against expected.json.
+// and engine counters around them. Without --seed the historical seeds
+// are used (dbgen's and the YCSB driver's defaults), so the answers can
+// be checked against expected.json.
 //
 // A stream is one pass over the workload's units in a fixed order: the
 // 22 TPC-H queries, or the three OLTP systems. Streams repeat until
